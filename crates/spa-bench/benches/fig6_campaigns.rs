@@ -54,8 +54,9 @@ fn bench_campaign_execution(c: &mut Criterion) {
         b.iter_batched(
             || Spa::new(&courses, SpaConfig::default()),
             |spa| {
-                let outcome =
-                    runner.run(&spa, &spec, |_, _, _| 0.0, |_, _, _| {}).expect("campaign runs");
+                let (outcome, _) = runner
+                    .run(&spa, &spec, |_, _, _| (0.0, ()), |_, _, _| {})
+                    .expect("campaign runs");
                 black_box(outcome.responses)
             },
             BatchSize::PerIteration,

@@ -1,10 +1,10 @@
-//! Sharded vs single-platform serving: ingest fan-out, batch scoring
+//! Sharded vs single-platform serving: routed ingest, batch scoring
 //! and crash-recovery replay at campaign scale (20k / 100k users).
 //!
-//! The sharded numbers approach `shards × single` throughput on a
-//! multi-core host; on one core they track the single-platform path
-//! (the fan-out takes the serial branch). Outputs are bit-identical
-//! either way — `tests/shard_equivalence.rs` enforces that.
+//! Every call runs on the calling thread, so the sharded numbers
+//! measure the cost of routing over shards against the single-platform
+//! path. Outputs are bit-identical — `tests/shard_equivalence.rs`
+//! enforces that.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use spa_core::platform::{Spa, SpaConfig};

@@ -164,10 +164,9 @@ fn bench_row_access(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batch scoring: serial versus parallel `decision_batch` at 20k and
-/// 100k rows (the paper's per-campaign workload is 1.34M). On a
-/// multi-core host the parallel path should approach core-count
-/// speedup; outputs are bit-identical either way.
+/// Batch scoring: `decision_batch` at 20k and 100k rows (the paper's
+/// per-campaign workload is 1.34M). The `serial_{n}k` ids line up with
+/// the rows of earlier BENCH files.
 fn bench_decision_batch(c: &mut Criterion) {
     for &n in &[20_000usize, 100_000] {
         let data = training_set(n, 75, 30, 11);
@@ -177,12 +176,8 @@ fn bench_decision_batch(c: &mut Criterion) {
         group.sample_size(10);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_function(format!("serial_{}k", n / 1000), |b| {
-            b.iter(|| black_box(svm.decision_batch_serial(&data).unwrap().len()))
+            b.iter(|| black_box(svm.decision_batch(&data).unwrap().len()))
         });
-        group.bench_function(
-            format!("parallel_{}k_{}threads", n / 1000, rayon::current_num_threads()),
-            |b| b.iter(|| black_box(svm.decision_batch(&data).unwrap().len())),
-        );
         group.finish();
     }
 }

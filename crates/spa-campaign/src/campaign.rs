@@ -144,84 +144,36 @@ impl<'a> CampaignRunner<'a> {
         Ok(spa.rank_top_k(&candidates, k)?.into_iter().map(|(user, _)| user).collect())
     }
 
-    /// Runs one campaign serially. `score_user` supplies the
-    /// selection-function score recorded per contact (pass a constant
-    /// for untrained runs); it also receives the message the platform
-    /// is about to send — known before the response, so legitimate
-    /// scoring input. `update_model` receives each outcome for
-    /// incremental learning (the reason this path stays serial: online
-    /// updates are order-dependent).
-    pub fn run(
+    /// Runs one campaign, contacting the audience in order.
+    /// `contact_hook` returns the selection-function score recorded per
+    /// contact (pass a constant for untrained runs) together with a
+    /// per-contact payload, collected in contact order. It receives the
+    /// message the platform is about to send and runs *before* the
+    /// response is drawn, so whatever it reads is legitimate scoring
+    /// input. `update_model` then receives each outcome for incremental
+    /// learning.
+    ///
+    /// The response draw is keyed by `(campaign, contact index)`, so
+    /// two runs over equal platforms are byte-identical.
+    pub fn run<T>(
         &self,
         spa: &Spa,
         spec: &CampaignSpec,
-        mut score_user: impl FnMut(&Spa, UserId, &AssignedMessage) -> f64,
+        mut contact_hook: impl FnMut(&Spa, UserId, &AssignedMessage) -> (f64, T),
         mut update_model: impl FnMut(&Spa, UserId, bool),
-    ) -> Result<CampaignOutcome> {
-        if spec.course.appeal.is_empty() {
-            return Err(SpaError::Invalid("campaign course has no appeal attributes".into()));
-        }
-        spa.register_campaign(spec.id, &spec.course.appeal);
-        let audience = self.draw_audience(spec);
-        let mut contacts = Vec::with_capacity(audience.len());
-        let mut responses = 0usize;
-        for (k, user) in audience.into_iter().enumerate() {
-            let (record, ()) = self.contact(spa, spec, k, user, |spa, user, message| {
-                (score_user(spa, user, message), ())
-            })?;
-            responses += record.responded as usize;
-            update_model(spa, user, record.responded);
-            contacts.push(record);
-        }
-        Ok(CampaignOutcome { id: spec.id, channel: spec.channel, contacts, responses })
-    }
-
-    /// Runs one campaign with contacts fanned out across threads
-    /// (`parallel` feature; falls back to a serial loop without it),
-    /// collecting an extra per-contact payload from the hook.
-    ///
-    /// Contacts of one campaign touch *distinct* users (the audience is
-    /// sampled without replacement), every SUM mutation is per-user
-    /// behind the sharded registry locks, and the response draw is
-    /// keyed by `(campaign, contact index)` — so contacts are
-    /// independent and the outcome is **byte-identical at any thread
-    /// count**, including 1. The hook sees the contact index `k` and
-    /// must be a pure function of the platform state for its user.
-    ///
-    /// Incremental model updates don't fit this shape (they are
-    /// order-dependent across users); use [`Self::run`] for those.
-    pub fn run_collect<T: Send>(
-        &self,
-        spa: &Spa,
-        spec: &CampaignSpec,
-        contact_hook: impl Fn(&Spa, UserId, &AssignedMessage) -> (f64, T) + Sync,
     ) -> Result<(CampaignOutcome, Vec<T>)> {
         if spec.course.appeal.is_empty() {
             return Err(SpaError::Invalid("campaign course has no appeal attributes".into()));
         }
         spa.register_campaign(spec.id, &spec.course.appeal);
         let audience = self.draw_audience(spec);
-        let results: Vec<Result<(ContactRecord, T)>>;
-        #[cfg(feature = "parallel")]
-        {
-            use rayon::prelude::*;
-            results = (0..audience.len())
-                .into_par_iter()
-                .map(|k| self.contact(spa, spec, k, audience[k], &contact_hook))
-                .collect();
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            results = (0..audience.len())
-                .map(|k| self.contact(spa, spec, k, audience[k], &contact_hook))
-                .collect();
-        }
-        let mut contacts = Vec::with_capacity(results.len());
-        let mut payloads = Vec::with_capacity(results.len());
+        let mut contacts = Vec::with_capacity(audience.len());
+        let mut payloads = Vec::with_capacity(audience.len());
         let mut responses = 0usize;
-        for result in results {
-            let (record, payload) = result?;
+        for (k, user) in audience.into_iter().enumerate() {
+            let (record, payload) = self.contact(spa, spec, k, user, &mut contact_hook)?;
             responses += record.responded as usize;
+            update_model(spa, user, record.responded);
             contacts.push(record);
             payloads.push(payload);
         }
@@ -230,8 +182,7 @@ impl<'a> CampaignRunner<'a> {
 
     /// One contact: delivery, the contact's single EIT question, message
     /// assignment, scoring, latent response draw and reward/punish
-    /// feedback. Touches only `user`'s state, so contacts of distinct
-    /// users commute.
+    /// feedback. Touches only `user`'s state.
     fn contact<T>(
         &self,
         spa: &Spa,
@@ -334,7 +285,7 @@ mod tests {
         let runner = CampaignRunner::new(&population, &response);
         // build differentiated user models + a trained selection
         let warmup = spec(&courses, 8, 400);
-        runner.run(&spa, &warmup, |_, _, _| 0.0, |_, _, _| {}).unwrap();
+        runner.run(&spa, &warmup, |_, _, _| (0.0, ()), |_, _, _| {}).unwrap();
         let mut data = spa_ml::Dataset::new(75);
         for raw in (0..800u32).step_by(4) {
             let row = spa.advice_row(UserId::new(raw)).unwrap();
@@ -368,7 +319,7 @@ mod tests {
         let (population, response, courses, spa) = setup();
         let runner = CampaignRunner::new(&population, &response);
         let s = spec(&courses, 4, 400);
-        let outcome = runner.run(&spa, &s, |_, _, _| 0.0, |_, _, _| {}).unwrap();
+        let (outcome, _) = runner.run(&spa, &s, |_, _, _| (0.0, ()), |_, _, _| {}).unwrap();
         assert_eq!(outcome.contacts.len(), 400);
         assert_eq!(outcome.responses, outcome.contacts.iter().filter(|c| c.responded).count());
         // calibrated near 21% but messages are model-assigned, so allow slack
@@ -387,8 +338,8 @@ mod tests {
         let s = spec(&courses, 5, 200);
         let spa_a = Spa::new(&courses, SpaConfig::default());
         let spa_b = Spa::new(&courses, SpaConfig::default());
-        let a = runner.run(&spa_a, &s, |_, _, _| 0.0, |_, _, _| {}).unwrap();
-        let b = runner.run(&spa_b, &s, |_, _, _| 0.0, |_, _, _| {}).unwrap();
+        let (a, _) = runner.run(&spa_a, &s, |_, _, _| (0.0, ()), |_, _, _| {}).unwrap();
+        let (b, _) = runner.run(&spa_b, &s, |_, _, _| (0.0, ()), |_, _, _| {}).unwrap();
         assert_eq!(a.contacts, b.contacts);
         assert_eq!(a.responses, b.responses);
     }
@@ -399,7 +350,7 @@ mod tests {
         let runner = CampaignRunner::new(&population, &response);
         let mut s = spec(&courses, 6, 10);
         s.course.appeal.clear();
-        assert!(runner.run(&spa, &s, |_, _, _| 0.0, |_, _, _| {}).is_err());
+        assert!(runner.run(&spa, &s, |_, _, _| (0.0, ()), |_, _, _| {}).is_err());
     }
 
     #[test]
@@ -408,8 +359,27 @@ mod tests {
         let runner = CampaignRunner::new(&population, &response);
         let s = spec(&courses, 7, 150);
         let mut seen = 0usize;
-        runner.run(&spa, &s, |_, _, _| 0.0, |_, _, _| seen += 1).unwrap();
+        runner.run(&spa, &s, |_, _, _| (0.0, ()), |_, _, _| seen += 1).unwrap();
         assert_eq!(seen, 150);
+    }
+
+    #[test]
+    fn update_model_sees_outcomes_in_contact_order() {
+        let (population, response, courses, spa) = setup();
+        let runner = CampaignRunner::new(&population, &response);
+        let s = spec(&courses, 8, 120);
+        let mut outcomes = Vec::new();
+        let (outcome, _) = runner
+            .run(
+                &spa,
+                &s,
+                |_, _, _| (0.0, ()),
+                |_, user, responded| outcomes.push((user, responded)),
+            )
+            .unwrap();
+        let contacts: Vec<(UserId, bool)> =
+            outcome.contacts.iter().map(|c| (c.user, c.responded)).collect();
+        assert_eq!(outcomes, contacts);
     }
 
     #[test]

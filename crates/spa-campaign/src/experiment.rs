@@ -205,8 +205,8 @@ impl Experiment {
         let base = self.mask(spa.advice_row(user).unwrap_or_else(|_| SparseVec::zeros(75)));
         // one borrowed read of the user's published model computes every
         // match feature — no whole-model clone per contact (this runs
-        // inside the per-campaign contact fan-out, so a clone here was
-        // the dominant allocation of the whole experiment)
+        // once per campaign contact, so a clone here was the dominant
+        // allocation of the whole experiment)
         let (max_match, mean_match, assigned_estimate, matched_flag): (f64, f64, f64, f64) =
             if self.config.mask_emotional {
                 (0.0, 0.0, 0.0, 0.0)
@@ -334,17 +334,19 @@ impl Experiment {
         // Feature rows are captured through the contact hook, which runs
         // *before* the response is drawn and fed back — capturing them
         // afterwards would leak the label through the reward/punish
-        // update of the very outcome being predicted. Contacts fan out
-        // across threads (`parallel` feature); rows come back in
-        // contact order, so the training set is thread-count-invariant.
+        // update of the very outcome being predicted. Rows come back in
+        // contact order.
         let feature_dim = spa.schema().len() + 4;
         let mut training = Dataset::new(feature_dim);
         for t in 0..self.config.n_training_campaigns {
             let spec = self.campaign_spec(t, 1000);
             let appeal = spec.course.appeal.clone();
-            let (outcome, rows) = runner.run_collect(&spa, &spec, |spa, user, message| {
-                (f64::NAN, self.featurize(spa, user, &appeal, message))
-            })?;
+            let (outcome, rows) = runner.run(
+                &spa,
+                &spec,
+                |spa, user, message| (f64::NAN, self.featurize(spa, user, &appeal, message)),
+                |_, _, _| {},
+            )?;
             for (row, contact) in rows.iter().zip(outcome.contacts.iter()) {
                 training.push(row, if contact.responded { 1.0 } else { -1.0 })?;
             }
@@ -369,14 +371,21 @@ impl Experiment {
         for number in 0..self.config.n_eval_campaigns {
             let spec = self.campaign_spec(number, 2000);
             let appeal = spec.course.appeal.clone();
-            // Parallel target scoring: each contact featurizes and
-            // scores its user independently (chunked over the sharded
-            // SumRegistry), so the 42%-of-population scoring sweep —
-            // the paper's 1.34M-users-per-push workload — uses every
-            // core while staying deterministic.
-            let (outcome, _) = runner.run_collect(&spa, &spec, |spa, user, message| {
-                (selection.score(&self.featurize(spa, user, &appeal, message)).unwrap_or(0.0), ())
-            })?;
+            // target scoring: each contact featurizes and scores its
+            // user before the response is drawn
+            let (outcome, _) = runner.run(
+                &spa,
+                &spec,
+                |spa, user, message| {
+                    (
+                        selection
+                            .score(&self.featurize(spa, user, &appeal, message))
+                            .unwrap_or(0.0),
+                        (),
+                    )
+                },
+                |_, _, _| {},
+            )?;
             // Pool *within-campaign percentile ranks*, not raw margins:
             // "X% of commercial action" (Fig 6a) means contacting the
             // top-X% of each campaign's own ranking, so the aggregate

@@ -359,29 +359,17 @@ impl Spa {
     ///
     /// This is the paper-scale path — one campaign scores millions of
     /// users through exactly this call — and it performs **zero clones
-    /// and zero allocations per user**: each score borrows the model
-    /// under its registry shard's read lock, reads (or refills) the
-    /// user's compact sparse advice row in the epoch-versioned
-    /// [`AdviceCache`], and dots it against the SVM weights through the
-    /// same kernel as every other surface. A repeat sweep over a quiet
-    /// population is a cached-row scan. Scores are
-    /// bit-identical to the cache-free reference
+    /// and zero allocations per user**: each score pins the user's
+    /// epoch-published model snapshot (lock-free, so it never waits on
+    /// ingest or a checkpoint), reads (or refills) the user's compact
+    /// sparse advice row in the epoch-versioned [`AdviceCache`] under
+    /// that cache shard's mutex, and dots it against the SVM weights
+    /// through the same kernel as every other surface. A
+    /// repeat sweep over a quiet population is a cached-row scan.
+    /// Scores are bit-identical to the cache-free reference
     /// (`selection().score(&advice_row(user))`), enforced by
     /// `tests/scoring_fastpath.rs`.
-    ///
-    /// With the `parallel` feature (default) the work fans out across
-    /// threads and results are assembled in input order, so the output
-    /// is identical at any thread count.
     pub fn score_users(&self, users: &[UserId]) -> Result<Vec<(UserId, f64)>> {
-        #[cfg(feature = "parallel")]
-        {
-            if users.len() >= spa_ml::PARALLEL_BATCH_THRESHOLD && rayon::current_num_threads() > 1 {
-                use rayon::prelude::*;
-                let scored: Vec<Result<(UserId, f64)>> =
-                    users.par_iter().map(|&user| self.score_user(user)).collect();
-                return scored.into_iter().collect();
-            }
-        }
         users.iter().map(|&user| self.score_user(user)).collect()
     }
 

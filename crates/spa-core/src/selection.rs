@@ -12,8 +12,6 @@
 
 use spa_linalg::{RowView, SparseVec};
 use spa_ml::svm::{LinearSvm, SvmConfig};
-#[cfg(feature = "parallel")]
-use spa_ml::PARALLEL_BATCH_THRESHOLD;
 use spa_ml::{Classifier, Dataset, OnlineLearner};
 use spa_types::{Result, SpaError, UserId};
 
@@ -98,8 +96,7 @@ impl SelectionFunction {
     }
 
     /// Propensity scores for every row of a dataset, in row order —
-    /// zero-copy per row and parallel with the `parallel` feature
-    /// (bit-identical to the serial path at any thread count).
+    /// zero-copy per row.
     pub fn score_batch(&self, data: &Dataset) -> Result<Vec<f64>> {
         self.svm.decision_batch(data)
     }
@@ -138,31 +135,15 @@ impl SelectionFunction {
     }
 
     /// Ranks an audience by propensity, descending. Ties break by user
-    /// id for determinism. Scoring fans out across threads for large
-    /// audiences (`parallel` feature); the ranking is identical to the
-    /// serial evaluation because scores are assembled in input order
-    /// before the sort.
+    /// id for determinism.
     pub fn rank(&self, audience: &[(UserId, SparseVec)]) -> Result<Vec<(UserId, f64)>> {
         let mut scored = self.score_audience(audience)?;
         Self::sort_by_propensity(&mut scored);
         Ok(scored)
     }
 
-    /// Scores an audience in input order (the parallel fan-out under
-    /// [`Self::rank`]).
+    /// Scores an audience in input order.
     fn score_audience(&self, audience: &[(UserId, SparseVec)]) -> Result<Vec<(UserId, f64)>> {
-        #[cfg(feature = "parallel")]
-        {
-            if audience.len() >= PARALLEL_BATCH_THRESHOLD && rayon::current_num_threads() > 1 {
-                use rayon::prelude::*;
-                let scored: Vec<Result<(UserId, f64)>> = audience
-                    .par_iter()
-                    .map(|(user, features)| Ok((*user, self.score(features)?)))
-                    .with_min_len(512)
-                    .collect();
-                return scored.into_iter().collect();
-            }
-        }
         audience.iter().map(|(user, features)| Ok((*user, self.score(features)?))).collect()
     }
 

@@ -21,11 +21,10 @@
 //!   per-shard `Spa` selection functions stay dormant).
 //! * **Cross-shard reads merge in deterministic index order.**
 //!   [`ShardedSpa::score_users`] scores each shard's slice of the
-//!   audience (fanned out across threads under the `parallel` feature)
-//!   and scatters results back into *input* order;
+//!   audience and scatters results back into *input* order;
 //!   [`ShardedSpa::rank`] sorts the merged scores with the same
 //!   comparator as [`SelectionFunction::rank`]. Both are bit-identical
-//!   to a single-`Spa` evaluation at any thread count.
+//!   to a single-`Spa` evaluation at any shard count.
 //! * **Ingest is write-ahead durable.** With a [`ShardedEventLog`]
 //!   attached, every event is appended to its shard's segmented log
 //!   *before* it mutates in-memory state, so
@@ -81,40 +80,7 @@ pub fn shard_index(user: UserId, shards: usize) -> usize {
     h as usize % shards
 }
 
-/// The one per-shard fan-out used by every multi-shard operation:
-/// applies `f` to each shard index, across threads under the `parallel`
-/// feature when `parallel_ok` holds (and there is real parallelism to
-/// gain), serially otherwise. Results come back in index order either
-/// way — the bit-identity-across-thread-counts guarantee every caller
-/// relies on.
-fn fan_out<T: Send>(n: usize, parallel_ok: bool, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    #[cfg(feature = "parallel")]
-    {
-        if parallel_ok && n > 1 && rayon::current_num_threads() > 1 {
-            use rayon::prelude::*;
-            return (0..n).into_par_iter().map(f).collect();
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    let _ = parallel_ok;
-    (0..n).map(f).collect()
-}
-
-/// Scoring-path gate for [`fan_out`]: small audiences are not worth a
-/// thread fan-out even on multi-core hosts.
-fn batch_is_parallel_worthy(audience: usize) -> bool {
-    #[cfg(feature = "parallel")]
-    {
-        audience >= spa_ml::PARALLEL_BATCH_THRESHOLD
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = audience;
-        false
-    }
-}
-
-/// Collapses the failures of a multi-shard fan-out into one error. A
+/// Collapses the failures of a multi-shard operation into one error. A
 /// single failure passes through unchanged; several are joined into one
 /// message preserving each shard's full error text — a chaos harness
 /// accounts for every injected fault by scanning the text of every
@@ -293,7 +259,7 @@ impl RoutingScratch {
 /// under its mutex — the WAL append shares that hold, so log order is
 /// apply order — and then install a cloned snapshot into the published
 /// cell. Readers (scoring/ranking) pin the cell, clone the `Arc` out,
-/// and unpin: **no lock**, so a scoring fan-out proceeds untouched
+/// and unpin: **no lock**, so a scoring call proceeds untouched
 /// while an outcome's WAL append holds the master across disk I/O —
 /// previously the single worst read-path stall in the platform.
 struct SelectionCell {
@@ -502,8 +468,7 @@ impl ShardedSpa {
         // each shard recovers independently (its own snapshot, its own
         // segments, its own Spa): build the shard, load the registered
         // snapshot, then stream-replay the tail behind it one segment
-        // at a time — fanned out across threads under the `parallel`
-        // feature, like every multi-shard path
+        // at a time
         let recover_shard = |index: usize| -> Result<(Spa, ShardOutcome)> {
             let mut spa = Spa::new(courses, config.clone());
             for (campaign, appeal) in campaigns {
@@ -607,10 +572,10 @@ impl ShardedSpa {
                 ShardOutcome { applied, skipped, torn, snapshot: loaded, fallback, stale_temps },
             ))
         };
-        let outcomes: Vec<Result<(Spa, ShardOutcome)>> = fan_out(shards, true, recover_shard);
+        let outcomes: Vec<Result<(Spa, ShardOutcome)>> = (0..shards).map(recover_shard).collect();
         // assemble the facade around the recovered shards directly (no
         // throwaway `Spa`s: the per-shard platforms were already built
-        // inside the recovery fan-out)
+        // above)
         let schema = AttributeSchema::emagister();
         let mut sharded = Self {
             shards: Vec::with_capacity(shards),
@@ -742,8 +707,7 @@ impl ShardedSpa {
     /// Checkpoints every shard: under that shard's write-pause latch,
     /// flushes its WAL, records the flushed position and atomically
     /// writes a snapshot of the shard's in-memory state covering
-    /// exactly that position (fanned out across threads under the
-    /// `parallel` feature — shards pause one at a time, not the whole
+    /// exactly that position (shards pause one at a time, not the whole
     /// platform). The global selection weights are written to a
     /// root-level snapshot, and finally all positions are registered in
     /// the shard manifest in one atomic rewrite — the commit point:
@@ -790,12 +754,10 @@ impl ShardedSpa {
                 .write_atomic_with(snapshot::snapshot_path(&dir, position), self.io.as_ref())?;
             Ok((position, bytes))
         };
-        let written: Vec<Result<(LogPosition, u64)>> =
-            fan_out(self.shards.len(), true, snapshot_shard);
         let mut positions = Vec::with_capacity(self.shards.len());
         let mut snapshot_bytes = 0u64;
         let mut errors = Vec::new();
-        for outcome in written {
+        for outcome in (0..self.shards.len()).map(snapshot_shard) {
             match outcome {
                 Ok((position, bytes)) => {
                     positions.push(position);
@@ -964,17 +926,13 @@ impl ShardedSpa {
     }
 
     /// Ingests a batch: events are routed to their shards (preserving
-    /// per-shard arrival order), then each involved shard runs its
-    /// whole *log sub-batch → apply sub-batch* pipeline as one
-    /// fanned-out unit (across threads under the `parallel` feature) —
-    /// no global barrier between the log phase and the apply phase, so
-    /// one slow shard's disk write never stalls another shard's
-    /// in-memory apply. Per-shard WAL-before-apply ordering (the
-    /// invariant recovery equivalence depends on) is untouched: within
-    /// a shard, the sub-batch is durably buffered before any of it
-    /// mutates state, under that shard's write-pause latch so a
-    /// concurrent [`ShardedSpa::checkpoint`] never lands between the
-    /// two. Routing buffers are reused across calls
+    /// per-shard arrival order), then each involved shard in turn runs
+    /// its whole *log sub-batch → apply sub-batch* pipeline. Per-shard
+    /// WAL-before-apply ordering (the invariant recovery equivalence
+    /// depends on) holds: within a shard, the sub-batch is durably
+    /// buffered before any of it mutates state, under that shard's
+    /// write-pause latch so a concurrent [`ShardedSpa::checkpoint`]
+    /// never lands between the two. Routing buffers are reused across calls
     /// ([`RoutingScratch`]) — steady-state batch ingest allocates
     /// nothing on the routing path. Returns how many events were
     /// applied.
@@ -992,8 +950,8 @@ impl ShardedSpa {
     /// On a WAL I/O error every failing shard's error is surfaced — a
     /// single failure passes through unchanged, several are joined into
     /// one message preserving each shard's error text (no failure is
-    /// swallowed). Because shards pipeline independently, other shards
-    /// may already have logged **and applied** their sub-batches, and
+    /// swallowed). A failing shard does not stop the others, so other
+    /// shards may already have logged **and applied** their sub-batches, and
     /// each failing shard's own log is poisoned with a possibly-torn
     /// tail. Treat the error as fatal, exactly as the per-event
     /// contract on [`ShardedSpa::ingest`] already demands: rebuild
@@ -1037,10 +995,9 @@ impl ShardedSpa {
             }
             Ok(self.shards[index].apply_grouped(batch))
         };
-        let outcomes: Vec<Result<usize>> = fan_out(self.shards.len(), true, run_shard);
         let mut applied = 0usize;
         let mut errors = Vec::new();
-        for outcome in outcomes {
+        for outcome in (0..self.shards.len()).map(run_shard) {
             match outcome {
                 Ok(count) => applied += count,
                 Err(e) => errors.push(e),
@@ -1194,42 +1151,39 @@ impl ShardedSpa {
         Ok(())
     }
 
-    /// Batch propensity scoring in **input order**: each shard scores
-    /// its slice of the audience (in parallel under the `parallel`
-    /// feature) through its zero-allocation cached advice-row path
-    /// ([`Spa::score_user_with`]) against the **global** selection
-    /// function, then results scatter back to the caller's order.
-    /// Bit-identical to [`Spa::score_users`] over the same stream and
-    /// training data, at any shard count and thread count.
-    pub fn score_users(&self, users: &[UserId]) -> Result<Vec<(UserId, f64)>> {
+    /// Positions of `users` grouped by owning shard, in input order
+    /// within each shard.
+    fn positions_by_shard(&self, users: &[UserId]) -> Vec<Vec<usize>> {
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (position, &user) in users.iter().enumerate() {
             by_shard[shard_index(user, self.shards.len())].push(position);
         }
-        // one snapshot for the whole fan-out: every shard scores
-        // against the same published weights (a concurrent
-        // observe_outcome publishes a new snapshot instead of mutating
-        // this one, and never waits on the scorers)
+        by_shard
+    }
+
+    /// Batch propensity scoring in **input order**: each shard in turn
+    /// scores its slice of the audience through its zero-allocation
+    /// cached advice-row path ([`Spa::score_user_with`]) against the
+    /// **global** selection function, and each score lands at its
+    /// user's input position. Bit-identical to [`Spa::score_users`] over
+    /// the same stream and training data, at any shard count.
+    ///
+    /// Scoring shard by shard touches one shard's models and cache at a
+    /// time: over 10k-user audiences of 20k users on 3 shards (a working
+    /// set past L2) that ran ~20% faster than scoring in input order.
+    pub fn score_users(&self, users: &[UserId]) -> Result<Vec<(UserId, f64)>> {
+        // one snapshot for the whole call: every shard scores against
+        // the same published weights (a concurrent observe_outcome
+        // publishes a new snapshot instead of mutating this one, and
+        // never waits on the scorers)
         let selection = self.selection.snapshot();
-        let score_shard = |index: usize| -> Result<Vec<(usize, f64)>> {
-            by_shard[index]
-                .iter()
-                .map(|&position| {
-                    let score = self.shards[index].score_user_with(&selection, users[position])?;
-                    Ok((position, score))
-                })
-                .collect()
-        };
-        let parallel_ok = batch_is_parallel_worthy(users.len());
-        let per_shard: Vec<Result<Vec<(usize, f64)>>> =
-            fan_out(self.shards.len(), parallel_ok, score_shard);
-        let mut out: Vec<Option<(UserId, f64)>> = vec![None; users.len()];
-        for scored in per_shard {
-            for (position, score) in scored? {
-                out[position] = Some((users[position], score));
+        let mut scored: Vec<(UserId, f64)> = users.iter().map(|&user| (user, 0.0)).collect();
+        for (shard, positions) in self.shards.iter().zip(self.positions_by_shard(users)) {
+            for position in positions {
+                scored[position].1 = shard.score_user_with(&selection, users[position])?;
             }
         }
-        Ok(out.into_iter().map(|slot| slot.expect("every input position scored once")).collect())
+        Ok(scored)
     }
 
     /// Ranks an audience by propensity, descending (ties break by user
@@ -1250,28 +1204,18 @@ impl ShardedSpa {
     /// under the one shared comparator reproduces the global prefix —
     /// no full audience sort anywhere.
     pub fn rank_top_k(&self, users: &[UserId], k: usize) -> Result<Vec<(UserId, f64)>> {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (position, &user) in users.iter().enumerate() {
-            by_shard[shard_index(user, self.shards.len())].push(position);
-        }
         let selection = self.selection.snapshot();
-        let top_of_shard = |index: usize| -> Result<Vec<(UserId, f64)>> {
-            let mut scored = by_shard[index]
-                .iter()
-                .map(|&position| {
+        let mut merged: Vec<(UserId, f64)> = Vec::with_capacity(k.min(users.len()));
+        for (shard, positions) in self.shards.iter().zip(self.positions_by_shard(users)) {
+            let mut scored = positions
+                .into_iter()
+                .map(|position| {
                     let user = users[position];
-                    Ok((user, self.shards[index].score_user_with(&selection, user)?))
+                    Ok((user, shard.score_user_with(&selection, user)?))
                 })
                 .collect::<Result<Vec<(UserId, f64)>>>()?;
             SelectionFunction::top_k_by_propensity(&mut scored, k);
-            Ok(scored)
-        };
-        let parallel_ok = batch_is_parallel_worthy(users.len());
-        let per_shard: Vec<Result<Vec<(UserId, f64)>>> =
-            fan_out(self.shards.len(), parallel_ok, top_of_shard);
-        let mut merged: Vec<(UserId, f64)> = Vec::with_capacity(k.min(users.len()));
-        for part in per_shard {
-            merged.extend(part?);
+            merged.extend(scored);
         }
         SelectionFunction::top_k_by_propensity(&mut merged, k);
         Ok(merged)
@@ -1386,6 +1330,52 @@ mod tests {
             (0..60u32).map(|i| eit_event(&sharded, UserId::new(i), i as u64, 0.4)).collect();
         assert_eq!(sharded.ingest_batch(events.iter()).unwrap(), 60);
         assert_eq!(sharded.stats().eit_answers, 60);
+    }
+
+    #[test]
+    fn single_event_batch_logs_only_on_its_shard() {
+        let root = std::env::temp_dir().join(format!("spa-shard-one-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let sharded =
+            ShardedSpa::with_log(&courses(), SpaConfig::default(), 3, &root, LogConfig::default())
+                .unwrap();
+        let user = UserId::new(23);
+        let event = eit_event(&sharded, user, 0, 0.7);
+        assert_eq!(sharded.ingest_batch([&event]).unwrap(), 1);
+        let log = sharded.log().unwrap();
+        for index in 0..3u32 {
+            let shard = ShardId::new(index);
+            let expected = u64::from(shard == sharded.shard_of(user));
+            assert_eq!(log.log(shard).stats().unwrap().events_appended, expected, "shard {index}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn score_users_keeps_input_order_and_duplicates() {
+        let sharded = ShardedSpa::new(&courses(), SpaConfig::default(), 4).unwrap();
+        let known: Vec<UserId> = (0..30).map(UserId::new).collect();
+        for (i, &user) in known.iter().enumerate() {
+            let event = eit_event(&sharded, user, i as u64, (i as f64 / 30.0) * 2.0 - 1.0);
+            sharded.ingest(&event).unwrap();
+        }
+        let mut data = spa_ml::Dataset::new(75);
+        for &user in &known {
+            let row = sharded.advice_row(user).unwrap();
+            data.push(&row, if row.get(65) > 0.0 { 1.0 } else { -1.0 }).unwrap();
+        }
+        sharded.train_selection(&data).unwrap();
+        // reversed, repeated, and one user no shard has seen
+        let mut audience: Vec<UserId> = known.iter().rev().copied().collect();
+        audience.extend([UserId::new(7), UserId::new(7), UserId::new(500)]);
+        let scored = sharded.score_users(&audience).unwrap();
+        let selection = sharded.selection();
+        assert_eq!(scored.len(), audience.len());
+        for (&user, &(scored_user, score)) in audience.iter().zip(scored.iter()) {
+            assert_eq!(scored_user, user);
+            let reference = selection.score(&sharded.advice_row(user).unwrap()).unwrap();
+            assert_eq!(score.to_bits(), reference.to_bits(), "score diverges for {user}");
+        }
     }
 
     #[test]

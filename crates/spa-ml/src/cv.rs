@@ -35,41 +35,11 @@ pub struct FoldScore {
 }
 
 /// Runs k-fold cross-validation of a classifier factory, reporting the
-/// held-out ROC-AUC of each fold.
+/// held-out ROC-AUC of each fold, in fold order.
 ///
 /// `make` builds a fresh untrained model per fold (so no state leaks
-/// across folds). With the `parallel` feature (default) the folds run
-/// concurrently; each fold is self-contained and deterministic, so the
-/// scores are identical to [`cross_validate_serial`] at any thread
-/// count.
+/// across folds).
 pub fn cross_validate<C, F>(data: &Dataset, k: usize, seed: u64, make: F) -> Result<Vec<FoldScore>>
-where
-    C: Classifier,
-    F: Fn() -> C + Sync,
-{
-    let folds = kfold_indices(data.len(), k, seed)?;
-    #[cfg(feature = "parallel")]
-    {
-        if rayon::current_num_threads() > 1 {
-            use rayon::prelude::*;
-            let scores: Vec<Result<FoldScore>> = (0..folds.len())
-                .into_par_iter()
-                .map(|fold| run_fold(data, &folds, fold, &make))
-                .collect();
-            return scores.into_iter().collect();
-        }
-    }
-    (0..folds.len()).map(|fold| run_fold(data, &folds, fold, &make)).collect()
-}
-
-/// The reference serial implementation of [`cross_validate`] (always
-/// available, for differential testing).
-pub fn cross_validate_serial<C, F>(
-    data: &Dataset,
-    k: usize,
-    seed: u64,
-    make: F,
-) -> Result<Vec<FoldScore>>
 where
     C: Classifier,
     F: Fn() -> C,
@@ -78,8 +48,7 @@ where
     (0..folds.len()).map(|fold| run_fold(data, &folds, fold, &make)).collect()
 }
 
-/// Trains and evaluates one fold (everything per-fold is local, so
-/// folds can run on any thread).
+/// Trains and evaluates one fold.
 fn run_fold<C: Classifier>(
     data: &Dataset,
     folds: &[Vec<usize>],
@@ -96,7 +65,7 @@ fn run_fold<C: Classifier>(
     let test = data.subset(&folds[fold]);
     let mut model = make();
     model.fit(&train)?;
-    let scores = model.decision_batch_serial(&test)?;
+    let scores = model.decision_batch(&test)?;
     Ok(FoldScore { fold, auc: roc_auc(&test.y, &scores)? })
 }
 
@@ -156,6 +125,19 @@ mod tests {
         for s in &scores {
             assert!(s.auc > 0.9, "fold {} AUC {}", s.fold, s.auc);
         }
+    }
+
+    #[test]
+    fn cross_validation_surfaces_fold_errors() {
+        let mut d = Dataset::new(2);
+        for i in 0..30u32 {
+            let y = if i % 2 == 0 { 1.0 } else { -1.0 };
+            d.push(&SparseVec::from_pairs(2, [(i % 2, y)]).unwrap(), y).unwrap();
+        }
+        // every fold's fit rejects the 2-column training set
+        let result = cross_validate(&d, 3, 1, || LinearSvm::with_dim(5));
+        assert!(matches!(result, Err(SpaError::DimensionMismatch { got: 2, expected: 5 })));
+        assert!(cross_validate(&d, 1, 1, || LinearSvm::with_dim(2)).is_err(), "k < 2");
     }
 
     #[test]

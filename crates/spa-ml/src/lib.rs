@@ -41,19 +41,6 @@ pub use svm::LinearSvm;
 use spa_linalg::{RowView, SparseVec};
 use spa_types::Result;
 
-/// Row count below which batch scoring stays serial even with the
-/// `parallel` feature on (thread fan-out costs more than it saves).
-/// Shared by every batch-scoring gate in the workspace
-/// (`decision_batch`, `SelectionFunction::rank`, `Spa::score_users`)
-/// so the tuning lives in one place.
-pub const PARALLEL_BATCH_THRESHOLD: usize = 2048;
-
-/// Minimum rows per worker chunk for cheap per-row kernels: the
-/// vendored rayon spawns threads per call, so each worker must
-/// amortize its spawn over enough rows.
-#[cfg(feature = "parallel")]
-const PARALLEL_MIN_CHUNK: usize = 1024;
-
 /// A binary classifier with a real-valued decision function.
 ///
 /// Labels are `+1.0` / `-1.0`. The decision function must be monotone in
@@ -62,9 +49,8 @@ const PARALLEL_MIN_CHUNK: usize = 1024;
 ///
 /// Implementors provide [`Classifier::decision_view`], the zero-copy
 /// hot path: it scores a borrowed [`RowView`] so batch scoring never
-/// clones a row out of the CSR store. `Send + Sync` is a supertrait so
-/// batches can fan out across threads.
-pub trait Classifier: Send + Sync {
+/// clones a row out of the CSR store.
+pub trait Classifier {
     /// Fits on a training set.
     fn fit(&mut self, data: &Dataset) -> Result<()>;
 
@@ -83,31 +69,9 @@ pub trait Classifier: Send + Sync {
         Ok(if self.decision_function(x)? >= 0.0 { 1.0 } else { -1.0 })
     }
 
-    /// Decision scores for every row of a dataset, in row order.
-    ///
-    /// Zero-copy per row, and — with the `parallel` feature (default) —
-    /// fanned out over threads in order-preserving chunks, so the
-    /// output is bit-identical to [`Classifier::decision_batch_serial`]
-    /// at every thread count.
+    /// Decision scores for every row of a dataset, in row order —
+    /// zero-copy per row.
     fn decision_batch(&self, data: &Dataset) -> Result<Vec<f64>> {
-        #[cfg(feature = "parallel")]
-        {
-            if data.len() >= PARALLEL_BATCH_THRESHOLD && rayon::current_num_threads() > 1 {
-                use rayon::prelude::*;
-                let scores: Vec<Result<f64>> = (0..data.len())
-                    .into_par_iter()
-                    .map(|r| self.decision_view(data.x.row(r)))
-                    .with_min_len(PARALLEL_MIN_CHUNK)
-                    .collect();
-                return scores.into_iter().collect();
-            }
-        }
-        self.decision_batch_serial(data)
-    }
-
-    /// The reference serial implementation of [`Classifier::decision_batch`]
-    /// (always available, for differential testing).
-    fn decision_batch_serial(&self, data: &Dataset) -> Result<Vec<f64>> {
         (0..data.len()).map(|r| self.decision_view(data.x.row(r))).collect()
     }
 }

@@ -510,7 +510,7 @@ fn chaos_soak_serving_is_crash_identical_under_faults() {
 }
 
 /// Single-shard soak: the degenerate sharding exercises the same
-/// contracts without fan-out aggregation.
+/// contracts without multi-shard aggregation.
 #[test]
 fn chaos_soak_single_shard() {
     run_soak(

@@ -133,7 +133,7 @@ proptest! {
             at: Timestamp::from_millis(0),
             seed,
         };
-        let run = |spa: &Spa| runner.run(spa, &spec, |_, _, _| 0.0, |_, _, _| {}).unwrap();
+        let run = |spa: &Spa| runner.run(spa, &spec, |_, _, _| (0.0, ()), |_, _, _| {}).unwrap().0;
         let a = run(&Spa::new(&courses, SpaConfig::default()));
         let b = run(&Spa::new(&courses, SpaConfig::default()));
         prop_assert_eq!(a.responses, b.responses);

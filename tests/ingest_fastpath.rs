@@ -5,12 +5,11 @@
 //! not per event), zero-allocation WAL framing and a per-shard
 //! log→apply pipeline. These proptests pin all of it **bit-identical**
 //! to the serial per-event reference — arbitrary event streams
-//! (including rejected events), arbitrary batch splits, shard counts
-//! and thread counts: scores, rankings, stats, EIT schedules, the WAL
-//! byte stream, and recover-after-crash must all be equal.
+//! (including rejected events), arbitrary batch splits and shard
+//! counts: scores, rankings, stats, EIT schedules, the WAL byte stream,
+//! and recover-after-crash must all be equal.
 
 use proptest::prelude::*;
-use rayon::ThreadPoolBuilder;
 use spa::prelude::*;
 use std::path::PathBuf;
 
@@ -82,10 +81,6 @@ fn fresh_sharded(courses: &CourseCatalog, shards: usize) -> ShardedSpa {
     sharded
 }
 
-fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    ThreadPoolBuilder::new().num_threads(n).build().unwrap().install(f)
-}
-
 /// Serial reference: per-event `Spa::ingest` loop; returns how many
 /// events the platform accepted.
 fn reference_ingest(spa: &Spa, stream: &[LifeLogEvent]) -> usize {
@@ -151,7 +146,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Arbitrary streams split at arbitrary points into `ingest_batch`
-    /// calls, across shard counts and thread counts: the bucketed /
+    /// calls, across shard counts: the bucketed /
     /// pipelined engines equal the serial per-event reference on every
     /// observable, and the accepted-event counts agree (the shared
     /// skip-and-count semantics).
@@ -160,7 +155,6 @@ proptest! {
         ops in raw_ops(),
         cut_seed in 1usize..1000,
         shards in 1usize..9,
-        threads in prop_oneof![Just(1usize), Just(2), Just(5)],
     ) {
         let courses = courses();
         let stream = stream_of(&ops);
@@ -183,21 +177,18 @@ proptest! {
             "single ingest_batch",
         );
 
-        // sharded platform, batched, under an explicit thread pool
-        let sharded = with_threads(threads, || {
-            let sharded = fresh_sharded(&courses, shards);
-            let applied = sharded.ingest_batch(stream[..cut].iter()).unwrap()
-                + sharded.ingest_batch(stream[cut..].iter()).unwrap();
-            assert_eq!(applied, accepted, "sharded batch count diverges");
-            sharded
-        });
+        // sharded platform, batched
+        let sharded = fresh_sharded(&courses, shards);
+        let applied = sharded.ingest_batch(stream[..cut].iter()).unwrap()
+            + sharded.ingest_batch(stream[cut..].iter()).unwrap();
+        prop_assert_eq!(applied, accepted, "sharded batch count diverges");
         assert_platform_equals_reference(
             &reference,
             sharded.stats(),
             |u| sharded.feature_row(u),
             |u| sharded.advice_row(u).unwrap(),
             |u| sharded.next_eit_question(u).id,
-            &format!("sharded({shards})x{threads} ingest_batch"),
+            &format!("sharded({shards}) ingest_batch"),
         );
 
         // scores and rankings under one shared trained selection

@@ -1,40 +1,38 @@
-//! Differential tests: the parallel scoring paths must be
-//! *bit-identical* to their serial references at every thread count.
+//! Differential tests: each batch engine path must be *bit-identical*
+//! to a reference simple enough to be obviously right — per-row
+//! scoring, an in-test fold loop, the cache-free advice-row dot, a
+//! repeated run.
 //!
-//! The machine running CI may have any core count (including 1), so
-//! each test pins explicit thread counts via `rayon`'s pool installer
-//! rather than trusting the ambient parallelism.
+//! The engine runs every call on the calling thread; concurrency comes
+//! from concurrent callers sharing one `Sync` platform. Where a test
+//! varies a thread count, it is the number of such callers.
 
 use proptest::prelude::*;
-use rayon::ThreadPoolBuilder;
 use spa::ml::cv;
+use spa::ml::metrics::roc_auc;
 use spa::ml::svm::{LinearSvm, SvmConfig};
 use spa::prelude::*;
 
-/// Builds a labelled sparse dataset from proptest-generated entries,
-/// large enough to cross `decision_batch`'s parallel threshold.
-fn build_dataset(dim: usize, rows: &[(u32, f64, bool)]) -> Dataset {
-    let mut d = Dataset::new(dim);
-    for &(idx_seed, value, positive) in rows {
-        let mut pairs: Vec<(u32, f64)> = (0..4u32)
-            .map(|j| {
-                (
-                    (idx_seed.wrapping_mul(j + 1).wrapping_add(j * 13)) % dim as u32,
-                    value + j as f64 * 0.25,
-                )
-            })
-            .collect();
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        pairs.dedup_by_key(|&mut (i, _)| i);
-        pairs.retain(|&(_, v)| v != 0.0);
-        let row = SparseVec::from_pairs(dim, pairs).unwrap();
-        d.push(&row, if positive { 1.0 } else { -1.0 }).unwrap();
-    }
-    d
-}
-
-fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    ThreadPoolBuilder::new().num_threads(n).build().unwrap().install(f)
+/// Builds owned sparse rows and their labels from proptest-generated
+/// entries.
+fn build_rows(dim: usize, entries: &[(u32, f64, bool)]) -> (Vec<SparseVec>, Vec<f64>) {
+    entries
+        .iter()
+        .map(|&(idx_seed, value, positive)| {
+            let mut pairs: Vec<(u32, f64)> = (0..4u32)
+                .map(|j| {
+                    (
+                        (idx_seed.wrapping_mul(j + 1).wrapping_add(j * 13)) % dim as u32,
+                        value + j as f64 * 0.25,
+                    )
+                })
+                .collect();
+            pairs.sort_unstable_by_key(|&(i, _)| i);
+            pairs.dedup_by_key(|&mut (i, _)| i);
+            pairs.retain(|&(_, v)| v != 0.0);
+            (SparseVec::from_pairs(dim, pairs).unwrap(), if positive { 1.0 } else { -1.0 })
+        })
+        .unzip()
 }
 
 /// Exact (bit-level) comparison of two score vectors.
@@ -48,15 +46,17 @@ fn assert_bits_equal(a: &[f64], b: &[f64]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// SVM, logistic regression and naive Bayes: `decision_batch` under
-    /// 1, 2 and 5 worker threads is bit-identical to the serial loop.
+    /// SVM, logistic regression and naive Bayes: `decision_batch` over
+    /// the CSR store is bit-identical to `decision_function` on each
+    /// owned row.
     #[test]
-    fn decision_batch_parallel_matches_serial(
-        rows in proptest::collection::vec((0u32..1000, -2.0f64..2.0, proptest::bool::ANY), 2200..2600),
+    fn decision_batch_matches_per_row_decision_function(
+        entries in proptest::collection::vec((0u32..1000, -2.0f64..2.0, proptest::bool::ANY), 1..600),
         seed in 0u64..1000,
     ) {
         let dim = 32;
-        let data = build_dataset(dim, &rows);
+        let (rows, labels) = build_rows(dim, &entries);
+        let data = Dataset::from_rows(dim, &rows, &labels).unwrap();
 
         let mut svm = LinearSvm::new(dim, SvmConfig { epochs: 2, seed, ..Default::default() });
         svm.fit(&data).unwrap();
@@ -67,17 +67,17 @@ proptest! {
 
         let models: [&dyn Classifier; 3] = [&svm, &logreg, &nb];
         for model in models {
-            let serial = model.decision_batch_serial(&data).unwrap();
-            for threads in [1usize, 2, 5] {
-                let parallel = with_threads(threads, || model.decision_batch(&data).unwrap());
-                assert_bits_equal(&serial, &parallel);
-            }
+            let reference: Vec<f64> =
+                rows.iter().map(|row| model.decision_function(row).unwrap()).collect();
+            assert_bits_equal(&model.decision_batch(&data).unwrap(), &reference);
         }
     }
 }
 
+/// `cv::cross_validate` equals a fit/`roc_auc` loop written out over
+/// the same folds, fold for fold and bit for bit.
 #[test]
-fn cross_validation_parallel_matches_serial() {
+fn cross_validation_matches_fold_by_fold_reference() {
     let mut d = Dataset::new(8);
     for i in 0..400u32 {
         let y = if i % 2 == 0 { 1.0 } else { -1.0 };
@@ -85,82 +85,101 @@ fn cross_validation_parallel_matches_serial() {
         d.push(&row, y).unwrap();
     }
     let make = || LinearSvm::new(8, SvmConfig { epochs: 3, ..Default::default() });
-    let serial = cv::cross_validate_serial(&d, 5, 77, make).unwrap();
-    for threads in [1usize, 3] {
-        let parallel = with_threads(threads, || cv::cross_validate(&d, 5, 77, make).unwrap());
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(parallel.iter()) {
-            assert_eq!(s.fold, p.fold);
-            assert!(s.auc.to_bits() == p.auc.to_bits(), "fold {} AUC diverges", s.fold);
-        }
+    let scores = cv::cross_validate(&d, 5, 77, make).unwrap();
+
+    let folds = cv::kfold_indices(d.len(), 5, 77).unwrap();
+    assert_eq!(scores.len(), folds.len());
+    for (fold, held_out) in folds.iter().enumerate() {
+        let train_rows: Vec<usize> = folds
+            .iter()
+            .enumerate()
+            .filter(|&(other, _)| other != fold)
+            .flat_map(|(_, rows)| rows.iter().copied())
+            .collect();
+        let mut model = make();
+        model.fit(&d.subset(&train_rows)).unwrap();
+        let test = d.subset(held_out);
+        let test_scores: Vec<f64> =
+            (0..test.len()).map(|r| model.decision_view(test.x.row(r)).unwrap()).collect();
+        let auc = roc_auc(&test.y, &test_scores).unwrap();
+        assert_eq!(scores[fold].fold, fold);
+        assert!(scores[fold].auc.to_bits() == auc.to_bits(), "fold {fold} AUC diverges");
     }
 }
 
 /// The cached batch-scoring engine (`Spa::score_users` / `rank_top_k`)
-/// under parallel fan-out: at every thread count, with cold and warm
-/// caches, the output is bit-identical to the serial cache-free
-/// reference (`selection().score(&advice_row(user))`).
+/// with 1, 2 and 5 concurrent callers on a fresh platform: every
+/// caller's cold sweep (cache rows filled, possibly racing the other
+/// callers) and warm sweep (rows read back) is bit-identical to the
+/// cache-free reference (`selection().score(&advice_row(user))`).
 #[test]
 fn cached_score_users_is_identical_across_thread_counts() {
     let courses = CourseCatalog::generate(25, 5, 3).unwrap();
-    // enough users to cross PARALLEL_BATCH_THRESHOLD (2048)
     let n_users = 2600u32;
-    let mut spa = Spa::new(&courses, SpaConfig::default());
     let users: Vec<UserId> = (0..n_users).map(UserId::new).collect();
-    for (i, &user) in users.iter().enumerate() {
-        let question = spa.next_eit_question(user).id;
-        spa.ingest(&LifeLogEvent::new(
-            user,
-            Timestamp::from_millis(i as u64),
-            EventKind::EitAnswer {
-                question,
-                answer: Valence::new((i as f64 / n_users as f64) * 2.0 - 1.0),
-            },
-        ))
-        .unwrap();
-    }
-    let mut data = Dataset::new(75);
-    for &user in users.iter().step_by(3) {
-        let row = spa.advice_row(user).unwrap();
-        data.push(&row, if row.get(65) > 0.5 { 1.0 } else { -1.0 }).unwrap();
-    }
-    spa.train_selection(&data).unwrap();
-
-    let reference: Vec<(UserId, f64)> = users
-        .iter()
-        .map(|&user| (user, spa.selection().score(&spa.advice_row(user).unwrap()).unwrap()))
-        .collect();
-    let mut reference_ranked = reference.clone();
-    SelectionFunction::sort_by_propensity(&mut reference_ranked);
+    let trained_platform = || {
+        let mut spa = Spa::new(&courses, SpaConfig::default());
+        for (i, &user) in users.iter().enumerate() {
+            let question = spa.next_eit_question(user).id;
+            spa.ingest(&LifeLogEvent::new(
+                user,
+                Timestamp::from_millis(i as u64),
+                EventKind::EitAnswer {
+                    question,
+                    answer: Valence::new((i as f64 / n_users as f64) * 2.0 - 1.0),
+                },
+            ))
+            .unwrap();
+        }
+        let mut data = Dataset::new(75);
+        for &user in users.iter().step_by(3) {
+            let row = spa.advice_row(user).unwrap();
+            data.push(&row, if row.get(65) > 0.5 { 1.0 } else { -1.0 }).unwrap();
+        }
+        spa.train_selection(&data).unwrap();
+        spa
+    };
 
     for threads in [1usize, 2, 5] {
-        // two sweeps per thread count: the first fills cold cache rows,
-        // the second reads warm ones — both must match the reference
-        for sweep in 0..2 {
-            let scored = with_threads(threads, || spa.score_users(&users).unwrap());
-            assert_eq!(scored.len(), reference.len());
-            for ((u_a, s_a), (u_b, s_b)) in scored.iter().zip(reference.iter()) {
-                assert_eq!(u_a, u_b, "{threads} threads sweep {sweep}: order diverges");
-                assert!(
-                    s_a.to_bits() == s_b.to_bits(),
-                    "{threads} threads sweep {sweep}: score diverges for {u_a}"
-                );
+        let spa = trained_platform();
+        let reference: Vec<(UserId, f64)> = users
+            .iter()
+            .map(|&user| (user, spa.selection().score(&spa.advice_row(user).unwrap()).unwrap()))
+            .collect();
+        let mut reference_ranked = reference.clone();
+        SelectionFunction::sort_by_propensity(&mut reference_ranked);
+
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    for sweep in ["cold", "warm"] {
+                        let scored = spa.score_users(&users).unwrap();
+                        assert_eq!(scored.len(), reference.len());
+                        for ((u_a, s_a), (u_b, s_b)) in scored.iter().zip(reference.iter()) {
+                            assert_eq!(u_a, u_b, "{threads} callers, {sweep}: order diverges");
+                            assert!(
+                                s_a.to_bits() == s_b.to_bits(),
+                                "{threads} callers, {sweep}: score diverges for {u_a}"
+                            );
+                        }
+                    }
+                    let k = 400;
+                    let top = spa.rank_top_k(&users, k).unwrap();
+                    assert_eq!(top.len(), k);
+                    for ((u_a, s_a), (u_b, s_b)) in top.iter().zip(reference_ranked.iter()) {
+                        assert_eq!(u_a, u_b, "{threads} callers: top-k diverges");
+                        assert!(s_a.to_bits() == s_b.to_bits());
+                    }
+                });
             }
-        }
-        let k = 400;
-        let top = with_threads(threads, || spa.rank_top_k(&users, k).unwrap());
-        assert_eq!(top.len(), k);
-        for ((u_a, s_a), (u_b, s_b)) in top.iter().zip(reference_ranked.iter()) {
-            assert_eq!(u_a, u_b, "{threads} threads: top-k diverges");
-            assert!(s_a.to_bits() == s_b.to_bits());
-        }
+        });
     }
 }
 
 /// The full Fig 6 experiment — history build-up, training campaigns,
-/// selection training, parallel eval-campaign scoring — is byte-stable
-/// across thread counts: every contact record, campaign report and
-/// aggregate metric must match exactly.
+/// selection training, eval-campaign scoring — is byte-stable: a run on
+/// the calling thread and two runs side by side on two threads agree on
+/// every contact record, campaign report and aggregate metric.
 #[test]
 fn experiment_is_byte_stable_across_thread_counts() {
     let config = ExperimentConfig {
@@ -175,30 +194,34 @@ fn experiment_is_byte_stable_across_thread_counts() {
         mask_emotional: false,
         ..Default::default()
     };
-    let run_with = |threads: usize| {
-        with_threads(threads, || Experiment::new(config.clone()).unwrap().run().unwrap())
-    };
-    let single = run_with(1);
-    let multi = run_with(4);
-    assert_eq!(single.campaigns, multi.campaigns);
-    assert_eq!(single.total_targets, multi.total_targets);
-    assert_eq!(single.total_useful_impacts, multi.total_useful_impacts);
-    assert!(single.auc.to_bits() == multi.auc.to_bits(), "pooled AUC must match exactly");
-    assert!(
-        single.captured_at_40.to_bits() == multi.captured_at_40.to_bits(),
-        "gains curve must match exactly"
-    );
-    assert_eq!(single.gains.len(), multi.gains.len());
-    for (a, b) in single.gains.iter().zip(multi.gains.iter()) {
-        assert!(a.captured.to_bits() == b.captured.to_bits());
+    let run = || Experiment::new(config.clone()).unwrap().run().unwrap();
+    let single = run();
+    let side_by_side = std::thread::scope(|scope| {
+        let a = scope.spawn(run);
+        let b = scope.spawn(run);
+        [a.join().unwrap(), b.join().unwrap()]
+    });
+    for other in &side_by_side {
+        assert_eq!(single.campaigns, other.campaigns);
+        assert_eq!(single.total_targets, other.total_targets);
+        assert_eq!(single.total_useful_impacts, other.total_useful_impacts);
+        assert!(single.auc.to_bits() == other.auc.to_bits(), "pooled AUC must match exactly");
+        assert!(
+            single.captured_at_40.to_bits() == other.captured_at_40.to_bits(),
+            "gains curve must match exactly"
+        );
+        assert_eq!(single.gains.len(), other.gains.len());
+        for (a, b) in single.gains.iter().zip(other.gains.iter()) {
+            assert!(a.captured.to_bits() == b.captured.to_bits());
+        }
     }
 }
 
-/// Campaign execution through the parallel `run_collect` matches the
-/// serial `run` path contact-for-contact (same users, scores, appeals
-/// and responses), and the collected payloads arrive in contact order.
+/// `CampaignRunner::run` hands back the hook's payloads in contact
+/// order, and collecting them leaves the campaign itself unchanged:
+/// same users, scores, appeals and responses as a no-payload run.
 #[test]
-fn run_collect_matches_serial_run() {
+fn run_payloads_arrive_in_contact_order() {
     let population =
         Population::generate(PopulationConfig { n_users: 500, ..Default::default() }).unwrap();
     let response = ResponseModel::new(ResponseConfig::default())
@@ -215,17 +238,14 @@ fn run_collect_matches_serial_run() {
     };
     let runner = CampaignRunner::new(&population, &response);
 
-    let spa_serial = Spa::new(&courses, SpaConfig::default());
-    let serial = runner.run(&spa_serial, &spec, |_, _, _| 0.5, |_, _, _| {}).unwrap();
+    let plain_spa = Spa::new(&courses, SpaConfig::default());
+    let (plain, _) = runner.run(&plain_spa, &spec, |_, _, _| (0.5, ()), |_, _, _| {}).unwrap();
 
-    for threads in [1usize, 4] {
-        let spa_par = Spa::new(&courses, SpaConfig::default());
-        let (parallel, users) = with_threads(threads, || {
-            runner.run_collect(&spa_par, &spec, |_, user, _| (0.5, user)).unwrap()
-        });
-        assert_eq!(serial.contacts, parallel.contacts, "contacts diverge at {threads} threads");
-        assert_eq!(serial.responses, parallel.responses);
-        let contact_users: Vec<UserId> = parallel.contacts.iter().map(|c| c.user).collect();
-        assert_eq!(users, contact_users, "payloads must arrive in contact order");
-    }
+    let collecting_spa = Spa::new(&courses, SpaConfig::default());
+    let (collected, users) =
+        runner.run(&collecting_spa, &spec, |_, user, _| (0.5, user), |_, _, _| {}).unwrap();
+    assert_eq!(plain.contacts, collected.contacts, "collecting payloads changed the contacts");
+    assert_eq!(plain.responses, collected.responses);
+    let contact_users: Vec<UserId> = collected.contacts.iter().map(|c| c.user).collect();
+    assert_eq!(users, contact_users, "payloads must arrive in contact order");
 }

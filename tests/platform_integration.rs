@@ -126,31 +126,27 @@ fn selection_function_beats_random_targeting_end_to_end() {
         at: Timestamp::from_millis(0),
         seed: 99,
     };
-    let rows = std::cell::RefCell::new(Vec::new());
-    let outcome = runner
+    let (outcome, rows) = runner
         .run(
             &spa,
             &spec,
-            |spa, user, _message| {
-                rows.borrow_mut().push(spa.advice_row(user).unwrap());
-                f64::NAN
-            },
+            |spa, user, _message| (f64::NAN, spa.advice_row(user).unwrap()),
             |_, _, _| {},
         )
         .unwrap();
     let mut data = Dataset::new(75);
-    for (row, contact) in rows.into_inner().iter().zip(outcome.contacts.iter()) {
+    for (row, contact) in rows.iter().zip(outcome.contacts.iter()) {
         data.push(row, if contact.responded { 1.0 } else { -1.0 }).unwrap();
     }
     let mut selection = SelectionFunction::with_imbalance(75, 4.0);
     selection.fit(&data).unwrap();
     // evaluation campaign scored by the model
     let spec2 = CampaignSpec { id: CampaignId::new(2), seed: 77, ..spec };
-    let outcome2 = runner
+    let (outcome2, _) = runner
         .run(
             &spa,
             &spec2,
-            |spa, user, _message| selection.score(&spa.advice_row(user).unwrap()).unwrap(),
+            |spa, user, _message| (selection.score(&spa.advice_row(user).unwrap()).unwrap(), ()),
             |_, _, _| {},
         )
         .unwrap();

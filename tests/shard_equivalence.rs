@@ -1,13 +1,13 @@
 //! Differential tests: a [`ShardedSpa`] fed an identical event stream
 //! must be *bit-identical* to a single [`Spa`] — same selection scores,
 //! same rankings, same EIT schedules, same aggregate stats — for every
-//! shard count and thread count.
+//! shard count, whether the stream lands in one batch or in small
+//! serving-sized ones, and however many callers read concurrently.
 //!
 //! The stream is generated once (EIT answers follow each user's real
 //! per-contact question schedule, probed through an oracle platform)
 //! and then replayed verbatim into every platform under test.
 
-use rayon::ThreadPoolBuilder;
 use spa::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
@@ -15,10 +15,6 @@ const N_USERS: u32 = 240;
 
 fn courses() -> CourseCatalog {
     CourseCatalog::generate(25, 5, 3).unwrap()
-}
-
-fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    ThreadPoolBuilder::new().num_threads(n).build().unwrap().install(f)
 }
 
 /// One deterministic, mixed-kind event stream: per-user EIT contact
@@ -196,49 +192,55 @@ fn sharded_platform_matches_single_platform_bit_for_bit() {
     }
 }
 
-/// The parallel ingest fan-out and cross-shard scoring are pinned to
-/// explicit thread counts: outputs must not depend on parallelism.
+/// Serving-sized ingest batches (16 events, so most batches leave some
+/// shards empty) at every shard count, read back by 1, 2 and 5
+/// concurrent callers: rankings, top-k and stats all equal the
+/// one-shard, one-caller run.
 #[test]
 fn sharded_results_are_identical_across_thread_counts() {
     let courses = courses();
     let stream = build_stream(&courses);
     let users: Vec<UserId> = (0..N_USERS).map(UserId::new).collect();
-
-    type ThreadRun =
-        (Vec<(UserId, f64)>, Vec<(UserId, f64)>, spa::core::preprocessor::PreprocessorStats);
-    let run = |threads: usize| -> ThreadRun {
-        with_threads(threads, || {
-            let sharded = ShardedSpa::new(&courses, SpaConfig::default(), 7).unwrap();
-            sharded.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
-            sharded.ingest_batch(stream.iter()).unwrap();
-            let reference = {
-                let single = Spa::new(&courses, SpaConfig::default());
-                single.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
-                single.ingest_batch(stream.iter()).unwrap();
-                training_data(&single, &users)
-            };
-            sharded.train_selection(&reference).unwrap();
-            (
-                sharded.rank(&users).unwrap(),
-                sharded.rank_top_k(&users, 25).unwrap(),
-                sharded.stats(),
-            )
-        })
+    let reference = {
+        let single = Spa::new(&courses, SpaConfig::default());
+        single.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
+        single.ingest_batch(stream.iter()).unwrap();
+        training_data(&single, &users)
     };
 
-    let (rank_1, top_1, stats_1) = run(1);
-    assert_eq!(top_1.len(), 25);
-    for threads in [2usize, 5] {
-        let (rank_n, top_n, stats_n) = run(threads);
-        assert_eq!(stats_1, stats_n, "{threads} threads: stats diverge");
-        assert_eq!(rank_1.len(), rank_n.len());
-        for ((u_a, s_a), (u_b, s_b)) in rank_1.iter().zip(rank_n.iter()) {
-            assert_eq!(u_a, u_b, "{threads} threads: ranking diverges");
-            assert!(s_a.to_bits() == s_b.to_bits());
-        }
-        for ((u_a, s_a), (u_b, s_b)) in top_1.iter().zip(top_n.iter()) {
-            assert_eq!(u_a, u_b, "{threads} threads: top-k diverges");
-            assert!(s_a.to_bits() == s_b.to_bits());
+    type Reads = (Vec<(UserId, f64)>, Vec<(UserId, f64)>);
+    let read = |sharded: &ShardedSpa| -> Reads {
+        (sharded.rank(&users).unwrap(), sharded.rank_top_k(&users, 25).unwrap())
+    };
+    let mut expected: Option<(Reads, spa::core::preprocessor::PreprocessorStats)> = None;
+    for shards in SHARD_COUNTS {
+        let sharded = ShardedSpa::new(&courses, SpaConfig::default(), shards).unwrap();
+        sharded.register_campaign(CampaignId::new(1), &[EmotionalAttribute::Hopeful]);
+        let applied: usize =
+            stream.chunks(16).map(|batch| sharded.ingest_batch(batch.iter()).unwrap()).sum();
+        assert_eq!(applied, stream.len(), "{shards} shards: batches dropped events");
+        sharded.train_selection(&reference).unwrap();
+        let ((rank_1, top_1), stats_1) =
+            expected.get_or_insert_with(|| (read(&sharded), sharded.stats()));
+        assert_eq!(top_1.len(), 25);
+        assert_eq!(*stats_1, sharded.stats(), "{shards} shards: stats diverge");
+        for threads in [1usize, 2, 5] {
+            let runs: Vec<Reads> = std::thread::scope(|scope| {
+                let callers: Vec<_> =
+                    (0..threads).map(|_| scope.spawn(|| read(&sharded))).collect();
+                callers.into_iter().map(|caller| caller.join().unwrap()).collect()
+            });
+            for (rank_n, top_n) in runs {
+                assert_eq!(rank_1.len(), rank_n.len());
+                for ((u_a, s_a), (u_b, s_b)) in rank_1.iter().zip(rank_n.iter()) {
+                    assert_eq!(u_a, u_b, "{shards} shards, {threads} callers: ranking diverges");
+                    assert!(s_a.to_bits() == s_b.to_bits());
+                }
+                for ((u_a, s_a), (u_b, s_b)) in top_1.iter().zip(top_n.iter()) {
+                    assert_eq!(u_a, u_b, "{shards} shards, {threads} callers: top-k diverges");
+                    assert!(s_a.to_bits() == s_b.to_bits());
+                }
+            }
         }
     }
 }
